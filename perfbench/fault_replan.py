@@ -5,13 +5,16 @@ Daemon processes reached over one
 daemons are each set up (started, then one n=8 plan, so imports are
 paid there) and asked to plan the pristine fabric, which they price
 cold; set-up time and the cold request are medians of the three.  The
-last daemon then takes a seeded sequence of cumulative single-pod
-faults, in whole blocks of eight, for ``--seconds``.  Each is a
-separate ``plan`` request that dims one seeded rank of one seeded pod
-to a seeded multiplier; the daemon delta-prices it against the
-lineage's resident ``PlanContext``.  The first fault is checked, after
-the timed part, against cold block pricing of the same faulted fabric
-in a fresh process.
+middle daemon then takes one stratified block of eight cumulative
+single-pod faults.  Each is a separate ``plan`` request that dims one
+seeded rank of one seeded pod to a seeded multiplier; the daemon
+delta-prices it against the lineage's resident ``PlanContext``.  The
+first fault is checked, after the timed part, against cold block
+pricing of the same faulted fabric in a fresh process.
+
+The amount of work is fixed, so ``--seconds`` does not apply: every
+run on every version of the program prices the same eight faults, on
+a fabric with the same number of degraded pods, whatever their speed.
 """
 
 from __future__ import annotations
@@ -55,15 +58,13 @@ SMOKE = {
 
 #: Multipliers a faulty rank dims to, drawn from this range.
 MULTIPLIER_RANGE = (0.25, 0.9)
-#: Faults are stratified in blocks of this many: each block dims one
-#: rank at each of eight evenly spaced positions in its pod and draws
-#: one multiplier from each eighth of the range, in seeded order.  A
-#: fault's cost depends mostly on the rank's position (one to ten pods
-#: re-solved), so unstratified seeds changed the run's median by a
-#: third; stratified, every run prices the same mix of faults.
+#: A run prices this many faults, stratified: they dim one rank at each
+#: of eight evenly spaced positions in its pod and draw one multiplier
+#: from each eighth of the range, in seeded order.  A fault's cost
+#: depends mostly on the rank's position (one to ten pods re-solved),
+#: so unstratified seeds changed the run's median by a third;
+#: stratified, every run prices the same mix of faults.
 STRATA = 8
-#: Peak RSS is read after this many faults.
-RSS_AFTER_FAULTS = 3
 
 
 def scenario(sizes: dict, ports: dict | None = None):
@@ -90,22 +91,17 @@ def scenario(sizes: dict, ports: dict | None = None):
 
 
 def fault_sequence(sizes: dict, rng: random.Random):
-    """Cumulative fault scenarios, one per pod, the pods in seeded
-    order, stratified by rank position and multiplier (see STRATA)."""
-    pods = list(range(sizes["pods"]))
-    rng.shuffle(pods)
+    """Cumulative fault scenarios on seeded distinct pods, stratified
+    by rank position and multiplier (see STRATA)."""
+    pods = rng.sample(range(sizes["pods"]), min(STRATA, sizes["pods"]))
     size = sizes["pod_size"]
     low, high = MULTIPLIER_RANGE
-    positions, multipliers = [], []
-    for _ in range(0, len(pods), STRATA):
-        block = [1 + k * size // STRATA for k in range(STRATA)]
-        rng.shuffle(block)
-        positions += block
-        block = [
-            low + (k + rng.random()) * (high - low) / STRATA for k in range(STRATA)
-        ]
-        rng.shuffle(block)
-        multipliers += block
+    positions = [1 + k * size // STRATA for k in range(STRATA)]
+    rng.shuffle(positions)
+    multipliers = [
+        low + (k + rng.random()) * (high - low) / STRATA for k in range(STRATA)
+    ]
+    rng.shuffle(multipliers)
     ports: dict[int, float] = {}
     out = []
     for pod, position, multiplier in zip(pods, positions, multipliers):
@@ -131,13 +127,14 @@ async def _timed_plan(client, scen) -> tuple[float, object]:
 
 
 def run(seed: int, seconds: float, trace: bool, smoke: bool) -> Outcome:
+    """``seconds`` is unused: the run's work is fixed (see above)."""
     sizes = SMOKE if smoke else FULL
-    return asyncio.run(_run(random.Random(seed), seconds, trace, sizes))
+    return asyncio.run(_run(random.Random(seed), trace, sizes))
 
 
-async def _daemon(sizes, pristine, faults, seconds, outcome, tag) -> dict:
-    """One fresh daemon: set-up, the cold pristine plan, then faults for
-    ``seconds`` (none when ``seconds`` is 0)."""
+async def _daemon(pristine, faults, outcome, tag) -> dict:
+    """One fresh daemon: set-up, the cold pristine plan, then
+    ``faults`` in order."""
     from repro.service import AsyncServiceClient
 
     out = {"fault_ms": [], "answered": []}
@@ -155,21 +152,12 @@ async def _daemon(sizes, pristine, faults, seconds, outcome, tag) -> dict:
         with client_gc_paused():
             out["cold_ms"], response = await _timed_plan(client, pristine)
             out["answered"].append((pristine, response))
-            end = time.perf_counter() + seconds
             done = out["fault_ms"]
-            # Whole blocks of STRATA faults only, so every run prices
-            # the same mix; a block starts only if a typical one fits.
-            for first in range(0, len(faults) if seconds else 0, STRATA):
-                if done and time.perf_counter() + sum(done[:STRATA]) / 1e3 > end:
-                    break
-                for faulted in faults[first : first + STRATA]:
-                    elapsed, response = await _timed_plan(client, faulted)
-                    done.append(elapsed)
-                    out["answered"].append((faulted, response))
-                    if len(done) == RSS_AFTER_FAULTS:
-                        # After a fixed amount of work, so the reading
-                        # does not depend on how many faults fit.
-                        out["peak_rss_mib"] = daemon.peak_rss_mib()
+            for faulted in faults:
+                elapsed, response = await _timed_plan(client, faulted)
+                done.append(elapsed)
+                out["answered"].append((faulted, response))
+        out["peak_rss_mib"] = daemon.peak_rss_mib()
         out["snapshot"] = (await client.metrics()).result
     finally:
         if client is not None:
@@ -181,22 +169,23 @@ async def _daemon(sizes, pristine, faults, seconds, outcome, tag) -> dict:
     return out
 
 
-async def _run(rng, seconds, trace, sizes):
+async def _run(rng, trace, sizes):
     outcome = Outcome()
     pristine, faults = scenario(sizes), fault_sequence(sizes, rng)
-    # Every daemon sets up and plans the pristine fabric cold; the last
-    # one then takes the faults.  The traced run drives one daemon for
-    # half the time and replays its stream for the other half.
+    # Every daemon sets up and plans the pristine fabric cold; the middle
+    # one then takes the faults, so the cold samples come from the start
+    # and the end of the run and one slow spell of the shared host does
+    # not hold them all.  The traced run drives one daemon and then
+    # replays its stream in process.
     daemons = 1 if trace else sizes["daemons"]
-    budget = seconds * 0.5 if trace else seconds
+    faulted = daemons // 2
     runs = [
         await _daemon(
-            sizes, pristine, faults, budget if index == daemons - 1 else 0,
-            outcome, f"daemon{index}",
+            pristine, faults if index == faulted else [], outcome, f"daemon{index}"
         )
         for index in range(daemons)
     ]
-    fault_ms = runs[-1]["fault_ms"]
+    fault_ms = runs[faulted]["fault_ms"]
     answered = [pair for run in runs for pair in run["answered"]]
     outcome.attempted += len(answered)
     for _, response in answered:
@@ -207,21 +196,21 @@ async def _run(rng, seconds, trace, sizes):
         tracer = Tracer(enabled=True)
         outcome.metrics.update(
             _traced_replay(
-                tracer, pristine, faults, budget, fault_ms, runs[-1]["snapshot"]
+                tracer, pristine, faults, fault_ms, runs[faulted]["snapshot"]
             )
         )
         outcome.tracer = tracer
 
     # Correctness: the first fault against cold block pricing of the
     # same faulted fabric in a fresh process.
-    first_fault, response = runs[-1]["answered"][1]
+    first_fault, response = runs[faulted]["answered"][1]
     if response.ok:
         _check_against_cold(first_fault, response.result, outcome)
 
     if not trace:
         outcome.metrics.update(
             setup_s=median(run["setup_s"] for run in runs),
-            peak_rss_mib=runs[-1]["peak_rss_mib"],
+            peak_rss_mib=runs[faulted]["peak_rss_mib"],
             p50_ms=hd_quantile(fault_ms, 0.5),
             ops_per_s=len(fault_ms) / (sum(fault_ms) / 1e3),
             cold_ms=median(run["cold_ms"] for run in runs),
@@ -273,17 +262,14 @@ def _check_against_cold(faulted, result: dict, outcome: Outcome) -> None:
         f"({time.perf_counter() - start:.1f}s)")
 
 
-def _traced_replay(tracer, pristine, faults, seconds, daemon_fault_ms, snapshot):
+def _traced_replay(tracer, pristine, faults, daemon_fault_ms, snapshot):
     """Replay the daemon's stream (cold, then its faults) in-process,
     traced."""
     from repro.service import PlanBody, ServiceRequest
 
     replayer = PlanReplayer(tracer)
-    deadline = time.perf_counter() + seconds
     replayer.run(ServiceRequest(body=PlanBody(scenario=pristine)), "cold", "cold")
-    for index, faulted in enumerate(faults[: len(daemon_fault_ms)]):
-        if index >= 1 and time.perf_counter() > deadline:
-            break
+    for index, faulted in enumerate(faults):
         request = ServiceRequest(body=PlanBody(scenario=faulted))
         replayer.run(request, f"fault{index}", "fault")
     work = daemon_work_ms(tracer, replayer.records, "fault")

@@ -42,8 +42,8 @@ END_TO_END = {
 }
 
 #: The latency tail each workload reports with its per-layer metrics:
-#: p99 of the warm requests, p75 of the phases and of the 8 or so
-#: fault requests a run allows.  It is not gated: on a shared host the
+#: p99 of the warm requests, p75 of the phases and of the 8 fault
+#: requests of a run.  It is not gated: on a shared host the
 #: serving tail moved by up to 44% between runs of the same inputs.
 TAIL_QUANTILES = {"serve-warm": 0.99, "fault-replan": 0.75, "online-drift": 0.75}
 

@@ -5,10 +5,16 @@ No daemon.  The inputs are seeded ``drifting_moe_trace`` workloads
 expert all-to-all per layer).  Set-up primes a fresh
 :class:`~repro.flows.ThroughputCache` with one ``online-ewma`` pass
 over a short trace of the same structure (2 layers: both phase
-structures) but a fixed seed of its own; it is repeated and the
-median reported.  The timed loop then drives the public
-``OnlineController.decide`` → ``FlowLevelSimulator.run(observe_rates=
-True)`` → ``OnlineController.observe`` sequence per phase, exactly as
+structures) but a fixed seed of its own.  Set-up time and the cold
+first phase are medians over four such passes, each in a fresh
+interpreter, so that every sample pays what a new process pays: the
+imports and the process-wide memos (topology builds, hop distances,
+the incidence cache).  The benchmark process then primes its own
+cache the same way, untimed; the four fresh passes run between timed
+traces, spread over the loop and outside its clock.  The timed loop
+drives the public ``OnlineController.decide`` →
+``FlowLevelSimulator.run(observe_rates=True)`` →
+``OnlineController.observe`` sequence per phase, exactly as
 ``run_controller_loop`` does for the ``online-ewma`` policy, over fresh
 seeded traces (one controller per trace), whole traces only, until
 the time is up.
@@ -20,20 +26,26 @@ oracle's throughput-time (``plan_workload``, outside the timed loop).
 
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
 import time
 
 from harness import (
+    ROOT,
     TAIL_QUANTILES,
+    HarnessError,
     Outcome,
     hd_quantile,
     log,
     median,
     self_peak_rss_mib,
+    subprocess_env,
 )
 from replay import flows_in
 from tracer import Tracer
 
-FULL = {"n": 64, "layers": 24, "prime_layers": 2, "message_mib": 8, "setups": 3}
+FULL = {"n": 64, "layers": 24, "prime_layers": 2, "message_mib": 8, "setups": 4}
 SMOKE = {"n": 16, "layers": 4, "prime_layers": 2, "message_mib": 8, "setups": 1}
 
 #: The priming trace's seed: fixed, so set-up does the same work every run.
@@ -131,37 +143,80 @@ def efficiency(workload, schedules, cache) -> float:
     return oracle.total_time / realized.total_time
 
 
+def prime(sizes: dict, cache) -> list[float]:
+    """One ``online-ewma`` pass over the priming trace; its phase walls."""
+    trace = make_trace(sizes, PRIME_SEED, sizes["prime_layers"])
+    walls, _, _ = control_loop(trace, cache, Tracer(enabled=False), "prime")
+    return walls
+
+
+def fresh_setup(smoke: bool) -> tuple[float, float]:
+    """Set-up in a fresh interpreter: seconds from spawning it until
+    its cache is primed, and the priming pass's first phase (ms), which
+    prices its thetas cold.  Both clocks are ``time.monotonic``, which
+    every process on the host shares."""
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, __file__, "--prime", *(["--smoke"] if smoke else [])],
+        cwd=ROOT,
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    if proc.returncode != 0:
+        raise HarnessError(f"priming process failed: {proc.stderr[-500:]}")
+    row = json.loads(proc.stdout.strip().splitlines()[-1])
+    return row["primed_at"] - start, row["cold_ms"]
+
+
 def run(seed: int, seconds: float, trace: bool, smoke: bool) -> Outcome:
     from repro.flows import ThroughputCache
 
     sizes = SMOKE if smoke else FULL
     outcome = Outcome()
     off = Tracer(enabled=False)
-    setup_s, cold_ms = [], []
-    for attempt in range(1 if trace else sizes["setups"]):
-        cache = ThroughputCache()
-        start = time.perf_counter()
-        prime = make_trace(sizes, PRIME_SEED, sizes["prime_layers"])
-        walls, _, _ = control_loop(prime, cache, off, "prime")
-        setup_s.append(time.perf_counter() - start)
-        cold_ms.append(walls[0])  # the first phase prices its thetas cold
-    log(f"online-drift: set-up {median(setup_s):.2f}s")
+    cache = ThroughputCache()
+    prime(sizes, cache)
 
+    setups, wanted = [], 0 if trace else sizes["setups"]
     traces, walls_by_trace, passes = [], [], []
     budget = seconds * (0.5 if trace else 1.0)
     before = cache.stats()
-    deadline = time.perf_counter() + budget
-    loop_start = time.perf_counter()
+    loop_s = 0.0  # time spent in the timed traces only
     # Whole traces only: a trace cut short would add only its early
     # phases, when the controller replans most, and shift the median.
-    while not passes or time.perf_counter() < deadline:
+    while not passes or loop_s < budget:
+        # The set-up samples are spread over the run, so that one slow
+        # spell of the shared host does not hold all of them.
+        if len(setups) < wanted and loop_s >= budget * len(setups) / wanted:
+            setups.append(fresh_setup(smoke))
+        start = time.perf_counter()
         workload = make_trace(sizes, seed * 1000 + len(passes), sizes["layers"])
         walls, schedules, controller = control_loop(workload, cache, off, "timed")
+        loop_s += time.perf_counter() - start
         traces.append(workload)
         walls_by_trace.append(walls)
         passes.append((schedules, controller.stats))
-    loop_s = time.perf_counter() - loop_start
+        if len(passes) == 1:
+            # After a fixed amount of work, so the reading does not
+            # depend on how many traces fit.
+            peak_rss_mib = self_peak_rss_mib()
+    while len(setups) < wanted:
+        setups.append(fresh_setup(smoke))
+    if setups:
+        log(f"online-drift: set-up {median(s for s, _ in setups):.2f}s, cold "
+            f"phase {median(c for _, c in setups):.0f} ms")
     phase_ms = [wall for walls in walls_by_trace for wall in walls]
+    # Phase walls are bimodal, half dense allreduce (~10-25 ms) and half
+    # expert all-to-all (~100-300 ms), so their median falls in the gap
+    # and a few outliers set it.  Each layer's two phases are averaged
+    # first: that keeps per-phase units and one mode.
+    layer_ms = [
+        (walls[index] + walls[index + 1]) / 2
+        for walls in walls_by_trace
+        for index in range(0, len(walls) - 1, 2)
+    ]
     after = cache.stats()
     hits, misses = after.hits - before.hits, after.misses - before.misses
 
@@ -169,10 +224,10 @@ def run(seed: int, seconds: float, trace: bool, smoke: bool) -> Outcome:
     ratios = []  # traced over untraced wall, phase by phase
     if trace:
         # The same traces again with spans on, warm like the timed loop.
+        deadline = time.perf_counter() + budget
         for index, workload in enumerate(traces):
             walls, _, _ = control_loop(
-                workload, cache, tracer, f"pass{index}",
-                deadline + budget if index else None,
+                workload, cache, tracer, f"pass{index}", deadline if index else None
             )
             ratios.extend(t / u for t, u in zip(walls, walls_by_trace[index]))
 
@@ -195,7 +250,7 @@ def run(seed: int, seconds: float, trace: bool, smoke: bool) -> Outcome:
             )
     outcome.check(bool(efficiencies), "no trace priced against the oracle")
     log(f"online-drift: {len(passes)} traces, {len(phase_ms)} phases, p50 "
-        f"{median(phase_ms):.1f} ms, efficiency min "
+        f"{median(layer_ms):.1f} ms, efficiency min "
         f"{min(efficiencies, default=0):.3f}")
 
     if trace:
@@ -207,11 +262,11 @@ def run(seed: int, seconds: float, trace: bool, smoke: bool) -> Outcome:
         outcome.tracer = tracer
         return outcome
     outcome.metrics.update(
-        setup_s=median(setup_s),
-        peak_rss_mib=self_peak_rss_mib(),
-        p50_ms=hd_quantile(phase_ms, 0.5),
+        setup_s=median(s for s, _ in setups),
+        peak_rss_mib=peak_rss_mib,
+        p50_ms=hd_quantile(layer_ms, 0.5),
         ops_per_s=len(phase_ms) / loop_s,
-        cold_ms=median(cold_ms),
+        cold_ms=median(c for _, c in setups),
     )
     return outcome
 
@@ -245,3 +300,15 @@ def _layer_metrics(tracer, ratios, passes, hits, misses) -> dict[str, float]:
             selfs[root["request"]].get(layer, 0.0) for root in roots
         )
     return out
+
+
+if __name__ == "__main__":
+    # ``--prime [--smoke]``: one priming pass in this fresh process (see
+    # fresh_setup); prints when it ended and its first phase's wall.
+    import harness
+
+    harness.import_repro()
+    from repro.flows import ThroughputCache
+
+    walls = prime(SMOKE if "--smoke" in sys.argv else FULL, ThroughputCache())
+    print(json.dumps({"primed_at": time.monotonic(), "cold_ms": walls[0]}))

@@ -30,11 +30,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
-    parser.add_argument("--seconds", type=int, default=None)
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     out = ROOT / ".perfbench" / f"steadiness-{args.workload}.jsonl"
     out.parent.mkdir(exist_ok=True)
     rows = []
