@@ -3,14 +3,15 @@
 Daemon processes reached over one
 :class:`~repro.service.AsyncServiceClient` connection.  Three fresh
 daemons are each set up (started, then one n=8 plan, so imports are
-paid there) and asked to plan the pristine fabric, which they price
-cold; set-up time and the cold request are medians of the three.  The
-middle daemon then takes one stratified block of eight cumulative
-single-pod faults.  Each is a separate ``plan`` request that dims one
-seeded rank of one seeded pod to a seeded multiplier; the daemon
-delta-prices it against the lineage's resident ``PlanContext``.  The
-first fault is checked, after the timed part, against cold block
-pricing of the same faulted fabric in a fresh process.
+paid there); set-up time is the median of the three.  The first and
+the last are asked to plan the pristine fabric, which they price cold;
+the cold request is the median of the two.  The first daemon then
+takes one stratified block of eight cumulative single-pod faults.
+Each is a separate ``plan`` request that dims one seeded rank of one
+seeded pod to a seeded multiplier; the daemon delta-prices it against
+the lineage's resident ``PlanContext``.  The first fault is checked,
+after the timed part, against cold block pricing of the same faulted
+fabric in a fresh process.
 
 The amount of work is fixed, so ``--seconds`` does not apply: every
 run on every version of the program prices the same eight faults, on
@@ -46,7 +47,7 @@ FULL = {
     "pod_size": 64,
     "uplinks": 4,
     "message_mib": 64,
-    "daemons": 3,  # fresh daemons, each set up and planned cold
+    "daemons": 3,  # fresh daemons, each set up
 }
 SMOKE = {
     "pods": 4,
@@ -132,12 +133,12 @@ def run(seed: int, seconds: float, trace: bool, smoke: bool) -> Outcome:
     return asyncio.run(_run(random.Random(seed), trace, sizes))
 
 
-async def _daemon(pristine, faults, outcome, tag) -> dict:
-    """One fresh daemon: set-up, the cold pristine plan, then
-    ``faults`` in order."""
+async def _daemon(stream, outcome, tag) -> dict:
+    """One fresh daemon: set-up, then the scenarios of ``stream`` in
+    order, each timed."""
     from repro.service import AsyncServiceClient
 
-    out = {"fault_ms": [], "answered": []}
+    out = {"ms": [], "answered": []}
     start = time.perf_counter()
     daemon = DaemonProcess(socket_path(tag))
     daemon.start()
@@ -150,42 +151,39 @@ async def _daemon(pristine, faults, outcome, tag) -> dict:
         if not warm.ok:
             outcome.fail(f"set-up plan failed: {warm.error}")
         with client_gc_paused():
-            out["cold_ms"], response = await _timed_plan(client, pristine)
-            out["answered"].append((pristine, response))
-            done = out["fault_ms"]
-            for faulted in faults:
-                elapsed, response = await _timed_plan(client, faulted)
-                done.append(elapsed)
-                out["answered"].append((faulted, response))
+            for planned in stream:
+                elapsed, response = await _timed_plan(client, planned)
+                out["ms"].append(elapsed)
+                out["answered"].append((planned, response))
         out["peak_rss_mib"] = daemon.peak_rss_mib()
         out["snapshot"] = (await client.metrics()).result
     finally:
         if client is not None:
             await client.close()
         daemon.stop()
-    log(f"fault-replan: {tag}: set-up {out['setup_s']:.2f}s, cold "
-        f"{out['cold_ms']:.0f} ms, {len(done)} faults"
-        + (f", median {median(done):.0f} ms" if done else ""))
+    log(f"fault-replan: {tag}: set-up {out['setup_s']:.2f}s, plans (ms) "
+        + " ".join(f"{ms:.0f}" for ms in out["ms"]))
     return out
 
 
 async def _run(rng, trace, sizes):
     outcome = Outcome()
     pristine, faults = scenario(sizes), fault_sequence(sizes, rng)
-    # Every daemon sets up and plans the pristine fabric cold; the middle
-    # one then takes the faults, so the cold samples come from the start
-    # and the end of the run and one slow spell of the shared host does
-    # not hold them all.  The traced run drives one daemon and then
-    # replays its stream in process.
+    # Every daemon is set up.  The first plans the pristine fabric cold
+    # and then takes the faults; the last plans it cold at the end of the
+    # run, so one slow spell of the shared host does not hold both cold
+    # samples.  A cold plan takes 6-9 s, so the daemons in between only
+    # set up.  The traced run drives one daemon and then replays its
+    # stream in process.
     daemons = 1 if trace else sizes["daemons"]
-    faulted = daemons // 2
+    streams = [[pristine, *faults]]
+    if daemons > 1:
+        streams += [[] for _ in range(daemons - 2)] + [[pristine]]
     runs = [
-        await _daemon(
-            pristine, faults if index == faulted else [], outcome, f"daemon{index}"
-        )
-        for index in range(daemons)
+        await _daemon(stream, outcome, f"daemon{index}")
+        for index, stream in enumerate(streams)
     ]
-    fault_ms = runs[faulted]["fault_ms"]
+    fault_ms = runs[0]["ms"][1:]
     answered = [pair for run in runs for pair in run["answered"]]
     outcome.attempted += len(answered)
     for _, response in answered:
@@ -196,24 +194,24 @@ async def _run(rng, trace, sizes):
         tracer = Tracer(enabled=True)
         outcome.metrics.update(
             _traced_replay(
-                tracer, pristine, faults, fault_ms, runs[faulted]["snapshot"]
+                tracer, pristine, faults, fault_ms, runs[0]["snapshot"]
             )
         )
         outcome.tracer = tracer
 
     # Correctness: the first fault against cold block pricing of the
     # same faulted fabric in a fresh process.
-    first_fault, response = runs[faulted]["answered"][1]
+    first_fault, response = runs[0]["answered"][1]
     if response.ok:
         _check_against_cold(first_fault, response.result, outcome)
 
     if not trace:
         outcome.metrics.update(
             setup_s=median(run["setup_s"] for run in runs),
-            peak_rss_mib=runs[faulted]["peak_rss_mib"],
+            peak_rss_mib=runs[0]["peak_rss_mib"],
             p50_ms=hd_quantile(fault_ms, 0.5),
             ops_per_s=len(fault_ms) / (sum(fault_ms) / 1e3),
-            cold_ms=median(run["cold_ms"] for run in runs),
+            cold_ms=median(run["ms"][0] for run in runs if run["ms"]),
         )
     return outcome
 
