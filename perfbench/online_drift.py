@@ -11,8 +11,8 @@ interpreter, so that every sample pays what a new process pays: the
 imports and the process-wide memos (topology builds, hop distances,
 the incidence cache).  The benchmark process then primes its own
 cache the same way, untimed; the three fresh passes run between timed
-traces, spread over ``--seconds``.  The timed loop
-drives the public ``OnlineController.decide`` →
+traces, spread over ``--seconds``.  The timed loop drives the public
+``OnlineController.decide`` →
 ``FlowLevelSimulator.run(observe_rates=True)`` →
 ``OnlineController.observe`` sequence per phase, exactly as
 ``run_controller_loop`` does for the ``online-ewma`` policy, over fresh
