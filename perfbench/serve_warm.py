@@ -4,16 +4,19 @@ The daemon runs as its own process, started the way users start it;
 one :class:`~repro.service.AsyncServiceClient` connection talks to it.
 Set-up starts the daemon and plans every pool scenario once, so every
 timed request hits the resident theta cache.  The timed part is
-rounds of an open loop at a fixed offered rate (latency from each
-request's due time) followed by a closed loop with a fixed number of
-requests in flight.  Every response is checked against an in-process
-``plan()`` of its scenario.
+rounds of a sequential loop (one request in flight: its latency) and
+of bursts (a fixed number of requests sent at once: the throughput the
+daemon's batching gives).  The traced run adds an open loop at a fixed
+offered rate, timed from each request's due time, for the ungated
+tail.  Every response is checked against an in-process ``plan()`` of
+its scenario.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import statistics
 import time
 
 from harness import (
@@ -44,21 +47,18 @@ ALGORITHMS = (
 FULL = {
     "ns": (8, 16, 32),
     "sizes_kib": (64, 1024, 64 * 1024),
-    "rate": 100.0,  # offered requests per second in the open loop
-    "open_share": 0.8,  # of --seconds; the closed loop gets the rest
-    "inflight": 8,
+    "rate": 100.0,  # offered requests per second in the traced open loop
+    "burst": 32,
     "setups": 3,
-    # Open and closed loops alternate in rounds; each metric is the
-    # median over rounds, so a few seconds of noise on the host move
-    # one round, not the result.
-    "rounds": 4,
+    # Sequential requests and bursts alternate in rounds, half a round
+    # each, so both metrics sample the whole run, not one end of it.
+    "rounds": 5,
 }
 SMOKE = {
     "ns": (8,),
     "sizes_kib": (64, 1024),
     "rate": 100.0,
-    "open_share": 0.8,
-    "inflight": 4,
+    "burst": 4,
     "setups": 1,
     "rounds": 2,
 }
@@ -119,20 +119,33 @@ async def _open_loop(client, requests, rate: float):
     return [latency for latency, _ in results], lags, [r for _, r in results]
 
 
-async def _closed_loop(client, make_request, inflight: int, seconds: float):
-    """Keep ``inflight`` requests outstanding for ``seconds``."""
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + seconds
-    responses = []
+async def _sequential(client, make_request, seconds: float):
+    """One request in flight for ``seconds``: ``(latencies_ms, answers)``."""
+    latencies, answered = [], []
+    deadline = time.perf_counter() + seconds
+    while time.perf_counter() < deadline:
+        index, request = make_request()
+        start = time.perf_counter()
+        response = await client.request(request)
+        latencies.append((time.perf_counter() - start) * 1e3)
+        answered.append((index, response))
+    return latencies, answered
 
-    async def worker():
-        while loop.time() < deadline:
-            index, request = make_request()
-            responses.append((index, await client.request(request)))
 
-    start = loop.time()
-    await asyncio.gather(*(worker() for _ in range(inflight)))
-    return responses, loop.time() - start
+async def _bursts(client, make_request, size: int, seconds: float):
+    """Send ``size`` requests at once and wait for all of them, for
+    ``seconds``: ``(requests_per_second of each burst, answers)``."""
+    rates, answered = [], []
+    deadline = time.perf_counter() + seconds
+    while time.perf_counter() < deadline:
+        burst = [make_request() for _ in range(size)]
+        start = time.perf_counter()
+        responses = await asyncio.gather(
+            *(client.request(request) for _, request in burst)
+        )
+        rates.append(size / (time.perf_counter() - start))
+        answered.extend((index, r) for (index, _), r in zip(burst, responses))
+    return rates, answered
 
 
 def _same_plan(got: dict, want: dict) -> bool:
@@ -164,21 +177,11 @@ async def _setup_daemon(scenarios, outcome: Outcome, tag: str):
 def run(seed: int, seconds: float, trace: bool, smoke: bool) -> Outcome:
     sizes = SMOKE if smoke else FULL
     scenarios = pool(sizes)
-    outcome = Outcome()
     rng = random.Random(seed)
-    rounds = 1 if trace else sizes["rounds"]
-    open_seconds = seconds * (0.5 if trace else sizes["open_share"]) / rounds
-    rate = sizes["rate"]
-    streams = [
-        [rng.randrange(len(scenarios)) for _ in range(int(open_seconds * rate))]
-        for _ in range(rounds)
-    ]
-    return asyncio.run(_run(seconds, trace, sizes, scenarios, streams, rng, outcome))
+    return asyncio.run(_run(seconds, trace, sizes, scenarios, rng, Outcome()))
 
 
-async def _run(seconds, trace, sizes, scenarios, streams, rng, outcome):
-    from repro.service import AsyncServiceClient
-
+async def _run(seconds, trace, sizes, scenarios, rng, outcome):
     setups = 1 if trace else sizes["setups"]
     setup_s, cold_ms = [], []
     daemon = client = None
@@ -191,36 +194,52 @@ async def _run(seconds, trace, sizes, scenarios, streams, rng, outcome):
                 scenarios, outcome, f"serve{attempt}"
             )
             setup_s.append(elapsed)
-            cold_ms.extend(cold)
+            cold_ms.append(cold)
         outcome.attempted += len(scenarios) * setups
         before = (await client.metrics()).result
-        log(f"serve-warm: set-up {median(setup_s):.2f}s; {len(streams)} rounds "
-            f"of {len(streams[0])} requests at {sizes['rate']:g}/s")
+        timed = (
+            "an open loop, then sequential requests" if trace
+            else f"{sizes['rounds']} rounds of sequential requests and "
+            f"bursts of {sizes['burst']}"
+        )
+        log(f"serve-warm: set-up {median(setup_s):.2f}s; {timed}")
 
-        def closed_request():
+        def make_request():
             index = rng.randrange(len(scenarios))
             return index, client.plan_request(scenarios[index])
 
-        rounds, answered, lags = [], [], []
+        latencies, rates, answered, stream, lags = [], [], [], [], []
         with client_gc_paused():
-            for stream in streams:
+            if trace:
+                # Half the run: an open loop (the tail and the generator
+                # lag) and sequential requests (the latency the replay's
+                # stage sum is set against).  The replay gets the rest.
+                stream = [
+                    rng.randrange(len(scenarios))
+                    for _ in range(int(seconds * 0.25 * sizes["rate"]))
+                ]
                 requests = [client.plan_request(scenarios[i]) for i in stream]
-                latencies, round_lags, responses = await _open_loop(
+                open_latencies, lags, responses = await _open_loop(
                     client, requests, sizes["rate"]
                 )
                 answered.extend(zip(stream, responses))
-                lags.extend(round_lags)
-                rps = None
-                if not trace:
-                    closed, elapsed = await _closed_loop(
-                        client,
-                        closed_request,
-                        sizes["inflight"],
-                        seconds * (1 - sizes["open_share"]) / len(streams),
+                latencies, got = await _sequential(
+                    client, make_request, seconds * 0.25
+                )
+                answered.extend(got)
+            else:
+                half_round = seconds / sizes["rounds"] / 2
+                for _ in range(sizes["rounds"]):
+                    got_latencies, got = await _sequential(
+                        client, make_request, half_round
                     )
-                    answered.extend(closed)
-                    rps = len(closed) / elapsed
-                rounds.append((latencies, rps))
+                    latencies.extend(got_latencies)
+                    answered.extend(got)
+                    got_rates, got = await _bursts(
+                        client, make_request, sizes["burst"], half_round
+                    )
+                    rates.extend(got_rates)
+                    answered.extend(got)
         after = (await client.metrics()).result
         peak_rss = daemon.peak_rss_mib()
     finally:
@@ -239,7 +258,8 @@ async def _run(seconds, trace, sizes, scenarios, streams, rng, outcome):
     layers = {}
     if trace:
         layers = _traced_replay(
-            tracer, scenarios, streams[0], seconds * 0.5, rounds[0][0], after, lags
+            tracer, scenarios, stream, seconds * 0.5, latencies, open_latencies,
+            after, lags,
         )
 
     # Correctness: every answer equals an in-process plan of its scenario.
@@ -263,17 +283,23 @@ async def _run(seconds, trace, sizes, scenarios, streams, rng, outcome):
     outcome.metrics.update(
         setup_s=median(setup_s),
         peak_rss_mib=peak_rss,
-        p50_ms=median(hd_quantile(lat, 0.5) for lat, _ in rounds),
-        ops_per_s=median(rps for _, rps in rounds),
-        cold_ms=median(cold_ms),
+        p50_ms=median(latencies),
+        ops_per_s=median(rates),
+        # Each scenario's cold plan costs something else (5-130 ms), so
+        # a median over all of them jumps between scenarios.  The
+        # geometric mean over the fixed pool of each scenario's median
+        # over the set-ups weighs every scenario alike.
+        cold_ms=statistics.geometric_mean(map(median, zip(*cold_ms))),
     )
-    log(f"serve-warm: p50 {outcome.metrics['p50_ms']:.2f} ms, generator lag "
-        f"p99 {hd_quantile(lags, 0.99):.2f} ms, closed loop "
-        f"{outcome.metrics['ops_per_s']:.0f} req/s")
+    log(f"serve-warm: p50 {outcome.metrics['p50_ms']:.2f} ms over "
+        f"{len(latencies)} sequential requests, "
+        f"{outcome.metrics['ops_per_s']:.0f} req/s over {len(rates)} bursts")
     return outcome
 
 
-def _traced_replay(tracer, scenarios, stream, seconds, latencies, snapshot, lags):
+def _traced_replay(
+    tracer, scenarios, stream, seconds, latencies, open_latencies, snapshot, lags
+):
     """Replay the fill and the open-loop stream in-process, traced.
 
     Each warm request runs once untraced and once traced; the median
@@ -304,6 +330,8 @@ def _traced_replay(tracer, scenarios, stream, seconds, latencies, snapshot, lags
     work = daemon_work_ms(tracer, replayer.records, "warm")
     out["service.wait_us"] = (median(latencies) - median(work)) * 1e3
     out["bench.generator_lag_ms"] = hd_quantile(lags, 0.99)
-    out["bench.tail_ms"] = hd_quantile(latencies, TAIL_QUANTILES["serve-warm"])
+    out["bench.tail_ms"] = hd_quantile(
+        open_latencies, TAIL_QUANTILES["serve-warm"]
+    )
     out["trace.overhead_pct"] = (median(traced) / median(untraced) - 1) * 100
     return out
