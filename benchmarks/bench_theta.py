@@ -139,68 +139,3 @@ def test_theta_batch_vs_scalar_loop(results_dir, bench_record):
         f"theta_batch: {batch_s * 1e3:.2f}ms ({speedup:.1f}x)\n"
     )
     assert speedup >= 3.0
-
-
-@pytest.mark.benchmark(group="theta-batch")
-def test_lp_warm_vs_cold(results_dir, bench_record):
-    """Cold LP re-solves vs the warm-started family solver on a
-    degradation sweep: one fabric structure, many capacity states —
-    the planner-under-churn workload the warm solver exists for.
-
-    The recorded ratio is honest for this container: without highspy
-    the warm path's win is matrix-assembly reuse only (scipy re-solves
-    from scratch), so the ratio hovers near 1; with highspy installed
-    the basis-reuse path engages and the ratio is reported by the same
-    metric.
-    """
-    import time
-
-    from repro.fabric.degradation import uniform_degradation
-    from repro.flows import WarmStartLPSolver, commodities_from_matching
-    from repro.flows.concurrent_flow import max_concurrent_flow
-
-    n = 32
-    pristine = ring(n, B)
-    matching = Matching.shift(n, n // 2 - 1)
-    states = [pristine] + [
-        uniform_degradation(n, 1.0 - 0.02 * step).apply(pristine)
-        for step in range(1, 13)
-    ]
-    commodities = commodities_from_matching(matching)
-
-    solver = WarmStartLPSolver()
-    cold_s = warm_s = float("inf")
-    for _ in range(2):
-        start = time.perf_counter()
-        cold = [
-            max_concurrent_flow(state, commodities, B).theta for state in states
-        ]
-        cold_s = min(cold_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        warm = [
-            solver.solve_matching(state, matching, B) for state in states
-        ]
-        warm_s = min(warm_s, time.perf_counter() - start)
-    assert all(
-        c == pytest.approx(w, rel=1e-9) for c, w in zip(cold, warm)
-    )
-    stats = solver.stats()
-    ratio = cold_s / warm_s
-    bench_record(
-        degradation_states=len(states),
-        cold_s=cold_s,
-        warm_s=warm_s,
-        cold_vs_warm_speedup=ratio,
-        warm_solves=stats.warm_solves,
-        basis_reuses=stats.basis_reuses,
-        highs_enabled=solver.highs_enabled,
-    )
-    (results_dir / "theta_warm_lp.txt").write_text(
-        f"n={n} ring, {len(states)} degradation states\n"
-        f"cold LP: {cold_s * 1e3:.2f}ms\n"
-        f"warm LP: {warm_s * 1e3:.2f}ms ({ratio:.2f}x, "
-        f"highs_enabled={solver.highs_enabled})\n"
-    )
-    # The warm path must never be pathologically slower than cold.
-    assert ratio > 0.4
-    assert stats.warm_solves >= len(states) * 2 - 2

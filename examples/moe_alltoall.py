@@ -15,6 +15,7 @@ Run:  python examples/moe_alltoall.py
 
 from repro import (
     CostParameters,
+    FlowLevelSimulator,
     Gbps,
     MiB,
     evaluate_step_costs,
@@ -26,7 +27,6 @@ from repro import (
     us,
 )
 from repro.collectives import compose_sequence
-from repro.sim import simulate
 from repro.topology import coprime_rings
 from repro.units import format_time
 
@@ -61,11 +61,14 @@ def main() -> None:
     )
 
     # run it through the flow-level simulator and show the timeline head
-    report = simulate(iteration, topology, params, schedule=result.schedule)
-    print(f"simulated total: {format_time(report.simulation.total_time)} "
-          f"(model error {report.model_error:.1e})")
+    simulation = FlowLevelSimulator(topology, params).run(
+        iteration, result.schedule
+    )
+    gap = abs(simulation.total_time - result.cost.total) / result.cost.total
+    print(f"simulated total: {format_time(simulation.total_time)} "
+          f"(model error {gap:.1e})")
     print("\nfirst simulator events:")
-    print(report.simulation.trace.render(limit=10))
+    print(simulation.trace.render(limit=10))
 
     # extension: a pool of two co-prime rings as standing topologies
     pool = [topology, coprime_rings(n, (7,), bandwidth, bidirectional=True)]

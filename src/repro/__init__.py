@@ -119,7 +119,6 @@ from .service import (
 from .sim import (
     FlowLevelSimulator,
     WorkloadSimResult,
-    simulate,
     simulate_workload,
 )
 from .workload import (
@@ -221,7 +220,6 @@ __all__ = [
     "ThroughputCache",
     "CacheStats",
     "FlowLevelSimulator",
-    "simulate",
     # the adaptive workload engine
     "Workload",
     "WorkloadPlan",

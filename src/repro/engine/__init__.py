@@ -10,9 +10,9 @@ subsystem owns the whole evaluation path:
 
 * **Throughput backends** (:mod:`~repro.engine.backends`) — a registry
   of theta estimators: ``exact-lp`` (HiGHS ground truth),
-  ``exact-lp-warm`` (the same LP through the warm-started family
-  solver), ``closed-form`` (formula fast paths with LP fallback and a
-  vectorized ``theta_many`` grid pass), and ``bounds`` (the cheap
+  ``closed-form`` (formula fast paths with LP fallback and a
+  vectorized ``theta_many`` grid pass), ``block-lp`` (the exact
+  blockwise pod decomposition), and ``bounds`` (the cheap
   :class:`ThetaEnvelope` sandwich for coarse grid pre-screening before
   exact refinement).
 * **Two-tier caching** (:mod:`~repro.engine.store` plus
@@ -29,9 +29,8 @@ subsystem owns the whole evaluation path:
   schedule DP and LP assembly.
 
 The batch entry points — :func:`plan_many`, :func:`sim_many`,
-:func:`workload_many`, :func:`plan_workload_many` — are the canonical
-implementations; :mod:`repro.planner` and :mod:`repro.sim` keep thin
-compatibility shims with the same names.
+:func:`workload_many`, :func:`plan_workload_many` — live here only
+(and are re-exported from the top-level :mod:`repro` package).
 """
 
 from .api import plan_many, plan_workload_many, sim_many, workload_many
@@ -42,7 +41,6 @@ from .backends import (
     ExactLPBackend,
     ThetaEnvelope,
     ThroughputBackend,
-    WarmStartLPBackend,
     available_throughput_backends,
     compute_theta_backend,
     compute_theta_backend_many,
@@ -77,7 +75,6 @@ __all__ = [
     # throughput backends
     "ThroughputBackend",
     "ExactLPBackend",
-    "WarmStartLPBackend",
     "ClosedFormBackend",
     "BoundsBackend",
     "BlockLPBackend",

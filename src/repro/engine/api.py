@@ -16,14 +16,9 @@ planning), ``sim_many`` (sim-in-the-loop execution), ``workload_many``
   whole batch of bare scenarios through one estimator
   (:mod:`repro.engine.backends`).
 
-The legacy entry points (:func:`repro.planner.plan_many`,
-:func:`repro.sim.sim_many`, :func:`repro.sim.workload_many`) are thin
-shims over these functions; new code should import from
-:mod:`repro.engine`.
-
 The heavier layers (planner, sim, workload) are imported lazily inside
 the functions: the engine orchestrates them, so importing it must not
-drag them in (or create cycles with their shim modules).
+drag them in (or create import cycles with them).
 """
 
 from __future__ import annotations

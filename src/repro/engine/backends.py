@@ -9,13 +9,6 @@ name       answers with
 ========== ===========================================================
 exact-lp   the HiGHS maximum-concurrent-flow LP
            (:func:`repro.flows.max_concurrent_flow`) — ground truth.
-exact-lp-warm the same exact LP through the shared
-           :class:`~repro.flows.WarmStartLPSolver`: constraint
-           assembly is cached per structural family (degraded fabrics
-           and adjacent workload phases are perturbations of a solved
-           LP) and, with the optional ``highspy`` extra installed,
-           re-solves hot-start from the previous optimal basis.
-           Identical values to ``exact-lp``.
 closed-form the exact closed forms of :mod:`repro.flows.closed_forms`
            when the (topology, pattern) pair has one (uniform shifts
            on rings, XOR exchanges on hypercubes, dedicated matched
@@ -61,7 +54,6 @@ __all__ = [
     "ThetaEnvelope",
     "ThroughputBackend",
     "ExactLPBackend",
-    "WarmStartLPBackend",
     "ClosedFormBackend",
     "BoundsBackend",
     "BlockLPBackend",
@@ -158,25 +150,6 @@ class ExactLPBackend(ThroughputBackend):
     def theta(self, topology, matching, reference_rate=None, cache=default_cache):
         return compute_theta(
             topology, matching, reference_rate, method="lp", cache=cache
-        )
-
-
-class WarmStartLPBackend(ThroughputBackend):
-    """Exact LP with per-family assembly reuse and optional hot basis.
-
-    Routes through the process-wide :class:`~repro.flows.WarmStartLPSolver`
-    (``method="lp-warm"``).  Values are identical to ``exact-lp``; only
-    the amortization differs, so this is the backend of choice for
-    degraded-fabric sweeps and multi-phase workloads that solve many
-    close LP relatives.
-    """
-
-    name = "exact-lp-warm"
-    scenario_method = "lp-warm"
-
-    def theta(self, topology, matching, reference_rate=None, cache=default_cache):
-        return compute_theta(
-            topology, matching, reference_rate, method="lp-warm", cache=cache
         )
 
 
@@ -374,7 +347,6 @@ def scenario_theta_method(backend: str) -> str:
 def register_builtin_backends(overwrite: bool = False) -> None:
     """Install the built-in backend set into the registry."""
     register_throughput_backend(ExactLPBackend(), overwrite=overwrite)
-    register_throughput_backend(WarmStartLPBackend(), overwrite=overwrite)
     register_throughput_backend(ClosedFormBackend(), overwrite=overwrite)
     register_throughput_backend(BoundsBackend(), overwrite=overwrite)
     register_throughput_backend(BlockLPBackend(), overwrite=overwrite)

@@ -46,11 +46,8 @@ from .delta import (
 from .concurrent_flow import (
     Commodity,
     ConcurrentFlowResult,
-    WarmStartLPSolver,
-    WarmStartStats,
     commodities_from_matching,
     commodities_from_matrix,
-    default_warm_solver,
     max_concurrent_flow,
 )
 from .routing import (
@@ -69,6 +66,8 @@ __all__ = [
     "commodities_from_matching",
     "commodities_from_matrix",
     "compute_theta",
+    "THETA_METHODS",
+    "MODEL_ANCHOR_METHODS",
     "PathLengthRule",
     "RoutingResult",
     "path_length",
@@ -87,9 +86,6 @@ __all__ = [
     "ThroughputCache",
     "default_cache",
     "theta_key_digest",
-    "WarmStartLPSolver",
-    "WarmStartStats",
-    "default_warm_solver",
     "theta_batch",
     "prewarm_closed_forms",
     "pod_theta",
@@ -108,7 +104,13 @@ __all__ = [
     "reset_incremental_stats",
 ]
 
-_METHODS = ("auto", "lp", "lp-warm", "closed", "sp", "proxy", "block")
+#: Every ``method`` :func:`compute_theta` accepts.
+THETA_METHODS = ("auto", "lp", "closed", "sp", "proxy", "block")
+
+#: The methods whose values are the exact LP optimum itself (closed
+#: forms reproduce it), so under ``mcf`` rates and ``paper``
+#: accounting the flow simulator must reproduce the analytic model.
+MODEL_ANCHOR_METHODS = ("auto", "lp", "closed")
 
 
 def compute_theta(
@@ -132,9 +134,6 @@ def compute_theta(
     method:
         * ``"auto"`` — closed form when available, else exact LP;
         * ``"lp"`` — always the exact LP;
-        * ``"lp-warm"`` — exact LP via the shared
-          :class:`WarmStartLPSolver` (same values, amortized assembly
-          and optional basis reuse across related solves);
         * ``"closed"`` — closed form only (raises if unavailable);
         * ``"sp"`` — shortest-path feasible-routing lower bound;
         * ``"proxy"`` — degree/flow-hop upper-bound proxy;
@@ -146,8 +145,10 @@ def compute_theta(
     cache:
         Memo table; pass ``None`` to disable caching.
     """
-    if method not in _METHODS:
-        raise FlowError(f"unknown theta method {method!r}; choose from {_METHODS}")
+    if method not in THETA_METHODS:
+        raise FlowError(
+            f"unknown theta method {method!r}; choose from {THETA_METHODS}"
+        )
     if reference_rate is None:
         reference_rate = topology.metadata.get("reference_rate")
         if reference_rate is None:
@@ -178,12 +179,9 @@ def compute_theta(
                 return value
         if method == "block":
             return pod_theta(topology, matching, reference_rate)
-        commodities = commodities_from_matching(matching)
-        if method == "lp-warm":
-            return default_warm_solver().solve(
-                topology, commodities, reference_rate
-            ).theta
-        return max_concurrent_flow(topology, commodities, reference_rate).theta
+        return max_concurrent_flow(
+            topology, commodities_from_matching(matching), reference_rate
+        ).theta
 
     if cache is None:
         return evaluate()

@@ -7,8 +7,7 @@ grouped by topology (and reference rate), every group's closed-formable
 patterns are evaluated in a single vectorized numpy pass
 (:func:`repro.flows.closed_forms.closed_form_theta_batch`), and only
 the leftover rows fall back to per-item evaluation — the exact LP for
-``method="auto"``/``"lp"``, or the warm-started family solver for
-``method="lp-warm"``.
+``method="auto"``/``"lp"``.
 
 Values are published through the same
 :class:`~repro.flows.cache.ThroughputCache` keys and tags the scalar
@@ -74,10 +73,9 @@ def theta_batch(
         to read each topology's recorded ``reference_rate`` metadata.
     method:
         ``"auto"`` (closed form, LP fallback), ``"lp"`` (exact LP for
-        every row), ``"lp-warm"`` (the warm-started family solver), or
-        ``"block"`` (blockwise pod decomposition, with duplicate rows
-        in a group priced once); the closed-form vector pass only
-        prices rows under ``"auto"``.
+        every row), or ``"block"`` (blockwise pod decomposition, with
+        duplicate rows in a group priced once); the closed-form vector
+        pass only prices rows under ``"auto"``.
     cache:
         Shared memo; every row is published under the scalar path's
         key and tag.  ``None`` disables caching.

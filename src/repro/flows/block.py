@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..exceptions import FlowError
@@ -65,7 +64,7 @@ from .bounds import theta_lower_bound_shortest_path, theta_proxy
 from .concurrent_flow import (
     Commodity,
     commodities_from_matching,
-    default_warm_solver,
+    max_concurrent_flow,
 )
 
 __all__ = [
@@ -158,9 +157,9 @@ class _Counters:
             self.flat_fallbacks = 0
             self.batch_dedup_hits = 0
 
-    def bump(self, field: str, by: int = 1) -> None:
+    def bump(self, field: str) -> None:
         with self.lock:
-            setattr(self, field, getattr(self, field) + by)
+            setattr(self, field, getattr(self, field) + 1)
 
     def snapshot(self) -> BlockStats:
         with self.lock:
@@ -328,16 +327,14 @@ def _solve_subproblem(
 
     The memo key is (subgraph fingerprint, commodity multiset, rate):
     on uniform patterns every equal pod collapses onto one solve, and
-    repeated collective steps reuse values across calls.  Misses route
-    through the shared :class:`~repro.flows.WarmStartLPSolver`, so even
-    distinct members of one structural family amortize LP assembly.
+    repeated collective steps reuse values across calls.
     """
     key = (topology.fingerprint(), _commodity_key(commodities), reference_rate)
     hit = _solution_memo.get(key)
     if hit is not None:
         _counters.bump("memo_hits")
         return hit
-    value = default_warm_solver().solve(topology, commodities, reference_rate).theta
+    value = max_concurrent_flow(topology, commodities, reference_rate).theta
     _counters.bump("pod_solves")
     _solution_memo.put(key, value)
     return value
@@ -449,7 +446,6 @@ def pod_theta(
     topology: Topology,
     matching: Matching,
     reference_rate: float,
-    parallel: int | None = None,
 ) -> float:
     """Exact ``theta(G, M)`` of a pod fabric via blockwise decomposition.
 
@@ -459,17 +455,13 @@ def pod_theta(
     *distinct* pod subproblem, with bounds-based screening skipping
     pods that provably cannot set the minimum.
 
-    ``parallel`` > 1 solves the surviving pod subproblems in a thread
-    pool (HiGHS releases the GIL); the default solves serially in
-    ascending-lower-bound order, which maximizes screening.  Values are
-    identical either way.
+    Pods are solved in ascending-lower-bound order, which maximizes
+    screening.
 
     Topologies without pod structure fall back to the flat exact LP.
     """
     structure = pod_structure(topology)
     if structure is None:
-        from .concurrent_flow import max_concurrent_flow
-
         _counters.bump("flat_fallbacks")
         return max_concurrent_flow(
             topology, commodities_from_matching(matching), reference_rate
@@ -500,24 +492,10 @@ def pod_theta(
         if lower == 0.0:
             return 0.0  # some commodity is disconnected inside the pod
         upper = theta_proxy(subgraph, commodities, reference_rate)
-        entries.append((lower, upper, p, subgraph, commodities))
+        entries.append((lower, upper, subgraph, commodities))
     entries.sort(key=lambda e: e[0])
 
-    if parallel is not None and parallel > 1:
-        survivors = [e for e in entries if e[0] < current]
-        _counters.bump("pods_screened", len(entries) - len(survivors))
-        if survivors:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                values = list(
-                    pool.map(
-                        lambda e: _solve_subproblem(e[3], e[4], reference_rate),
-                        survivors,
-                    )
-                )
-            current = min([current, *values])
-        return current
-
-    for lower, upper, _, subgraph, commodities in entries:
+    for lower, upper, subgraph, commodities in entries:
         if lower >= current:
             # This pod's theta is certified >= the running minimum: it
             # cannot change the result. Exact skip, no tolerance needed.

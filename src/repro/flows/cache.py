@@ -8,7 +8,7 @@ results by (topology fingerprint, matching) and is shared by default
 through a module-level instance.
 
 The cache is thread-safe *and* compute-once: when several of
-:func:`repro.planner.plan_many`'s worker threads race on the same key,
+:func:`repro.engine.plan_many`'s worker threads race on the same key,
 exactly one runs the LP solve while the others wait on it, so
 
 * no duplicate work is done (LP solves take milliseconds), and

@@ -15,27 +15,10 @@ where commodity ``k`` must ship ``phi * w_k`` units from its source to
 its destination.  Capacities are normalized by a *reference rate* (one
 transceiver bandwidth ``b``) so that ``theta == 1`` means "every pair
 enjoys a dedicated full-rate circuit" — the matched-topology ideal.
-
-Warm-started families
----------------------
-Grid sweeps solve *families* of near-identical LPs: a degraded fabric
-is the pristine LP with a perturbed capacity vector, and adjacent
-workload phases share the whole constraint skeleton (same graph, same
-commodity count) with only the source/destination rows moved.
-:class:`WarmStartLPSolver` exploits this: constraint assembly is cached
-per structural fingerprint, and when the optional ``highspy`` binding
-is installed (`pip install repro[warmstart]`), a resident HiGHS model
-per family member re-solves capacity perturbations from the previous
-optimal basis instead of cold.  Without ``highspy`` the solver still
-amortizes assembly but every solve runs scipy's ``linprog`` cold —
-values are bit-identical either way, only the wall time differs.
 """
 
 from __future__ import annotations
 
-import threading
-import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -53,9 +36,6 @@ __all__ = [
     "max_concurrent_flow",
     "commodities_from_matching",
     "commodities_from_matrix",
-    "WarmStartLPSolver",
-    "WarmStartStats",
-    "default_warm_solver",
 ]
 
 
@@ -136,13 +116,11 @@ def commodities_from_matrix(
 class _LPStructure:
     """Capacity-independent constraint skeleton of a concurrent-flow LP.
 
-    Every LP over the same node set, edge endpoints, and commodity count
-    shares this assembly verbatim: the flow-conservation coefficient
-    prefix (the ±1 entries at edge tails and heads), the capacity matrix
-    ``A_ub``, and the objective.  Only the demand tail of ``A_eq`` (which
-    commodities go where) and the right-hand-side capacities vary across
-    family members, so a warm solver caches one structure per family and
-    reassembles just those.
+    Holds what depends only on the node set, edge endpoints, and
+    commodity count: the flow-conservation coefficient prefix (the ±1
+    entries at edge tails and heads), the capacity matrix ``A_ub``, and
+    the objective.  :meth:`a_eq` appends the demand tail of
+    ``A_eq`` (which commodities go where).
 
     Constraint assembly is vectorized: the (commodity x edge) index grids
     below enumerate every flow variable once, and numpy builds the COO
@@ -198,14 +176,8 @@ class _LPStructure:
         self.objective = np.zeros(self.n_vars)
         self.objective[0] = -1.0  # maximize phi
 
-    def capacities(self, topology: Topology, reference_rate: float) -> np.ndarray:
-        """Normalized capacity vector — the only per-solve RHS data."""
-        return np.array(
-            [c / reference_rate for _, _, c in topology.edges()], dtype=float
-        )
-
-    def member_a_eq(self, commodities: Sequence[Commodity]) -> sparse.csr_matrix:
-        """Full ``A_eq`` for one family member's demand placement."""
+    def a_eq(self, commodities: Sequence[Commodity]) -> sparse.csr_matrix:
+        """Full ``A_eq`` for one demand placement."""
         src_index = np.array(
             [self.node_index[c.src] for c in commodities], dtype=np.int64
         )
@@ -225,28 +197,6 @@ class _LPStructure:
             (eq_vals, (eq_rows, self.eq_cols)),
             shape=(self.n_comm * self.n_nodes, self.n_vars),
         ).tocsr()
-
-
-def _solve_scipy(
-    structure: _LPStructure,
-    a_eq: sparse.csr_matrix,
-    capacities: np.ndarray,
-    topology_name: str,
-) -> np.ndarray:
-    result = linprog(
-        structure.objective,
-        A_ub=structure.a_ub,
-        b_ub=capacities,
-        A_eq=a_eq,
-        b_eq=structure.b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not result.success:
-        raise FlowError(
-            f"concurrent-flow LP failed on {topology_name!r}: {result.message}"
-        )
-    return result.x
 
 
 def _extract_flows(
@@ -301,289 +251,23 @@ def max_concurrent_flow(
             return ConcurrentFlowResult(theta=0.0, edge_flows=None)
 
     structure = _LPStructure(topology, len(commodities))
-    a_eq = structure.member_a_eq(commodities)
-    x = _solve_scipy(
-        structure,
-        a_eq,
-        structure.capacities(topology, reference_rate),
-        topology.name,
+    capacities = np.array(
+        [c / reference_rate for _, _, c in topology.edges()], dtype=float
     )
+    result = linprog(
+        structure.objective,
+        A_ub=structure.a_ub,
+        b_ub=capacities,
+        A_eq=structure.a_eq(commodities),
+        b_eq=structure.b_eq,
+        bounds=(0, None),
+        method="highs",
+    )
+    if not result.success:
+        raise FlowError(
+            f"concurrent-flow LP failed on {topology.name!r}: {result.message}"
+        )
+    x = result.x
     theta = float(x[0])
     edge_flows = _extract_flows(structure, x) if return_flows else None
     return ConcurrentFlowResult(theta=theta, edge_flows=edge_flows)
-
-
-# -- warm-started families ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WarmStartStats:
-    """Counters exposed by :class:`WarmStartLPSolver`.
-
-    ``cold_solves`` counts first solves of a family member (fresh
-    constraint assembly); ``warm_solves`` counts re-solves of a known
-    member where only the capacity vector changed (assembly reused);
-    ``basis_reuses`` counts the subset of warm solves served by a
-    resident HiGHS model hot-starting from the previous optimal basis
-    (always 0 without ``highspy``).
-    """
-
-    families: int
-    members: int
-    cold_solves: int
-    warm_solves: int
-    basis_reuses: int
-
-
-def _try_import_highspy():
-    try:
-        import highspy  # optional: pip install repro[warmstart]
-    except Exception:
-        return None
-    return highspy
-
-
-class _HighsEngine:
-    """Resident HiGHS model for one family member.
-
-    The model is passed once; subsequent solves only move the capacity
-    row bounds and re-run, so HiGHS hot-starts from the previous optimal
-    basis instead of re-factorizing from scratch.
-    """
-
-    def __init__(self, highspy_mod, structure: _LPStructure, a_eq) -> None:
-        self._highspy = highspy_mod
-        self._n_eq = a_eq.shape[0]
-        self._n_edges = structure.n_edges
-        self._solver = highspy_mod.Highs()
-        self._solver.setOptionValue("output_flag", False)
-        full = sparse.vstack([a_eq, structure.a_ub]).tocsc()
-        inf = highspy_mod.kHighsInf
-        lp = highspy_mod.HighsLp()
-        lp.num_col_ = structure.n_vars
-        lp.num_row_ = full.shape[0]
-        cost = np.zeros(structure.n_vars)
-        cost[0] = 1.0
-        lp.col_cost_ = cost
-        lp.sense_ = highspy_mod.ObjSense.kMaximize
-        lp.col_lower_ = np.zeros(structure.n_vars)
-        lp.col_upper_ = np.full(structure.n_vars, inf)
-        lp.row_lower_ = np.concatenate(
-            [np.zeros(self._n_eq), np.full(self._n_edges, -inf)]
-        )
-        lp.row_upper_ = np.zeros(self._n_eq + self._n_edges)
-        lp.a_matrix_.format_ = highspy_mod.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = full.indptr
-        lp.a_matrix_.index_ = full.indices
-        lp.a_matrix_.value_ = full.data
-        status = self._solver.passModel(lp)
-        if status != highspy_mod.HighsStatus.kOk:
-            raise FlowError(f"HiGHS rejected the model: {status}")
-        self._solved_once = False
-
-    def solve(self, capacities: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Return ``(x, basis_reused)`` at the optimum for ``capacities``."""
-        highspy_mod = self._highspy
-        inf = highspy_mod.kHighsInf
-        for offset, capacity in enumerate(capacities):
-            self._solver.changeRowBounds(self._n_eq + offset, -inf, float(capacity))
-        if self._solver.run() != highspy_mod.HighsStatus.kOk:
-            raise FlowError("HiGHS run failed")
-        model_status = self._solver.getModelStatus()
-        if model_status != highspy_mod.HighsModelStatus.kOptimal:
-            raise FlowError(f"HiGHS finished non-optimal: {model_status}")
-        reused = self._solved_once
-        self._solved_once = True
-        x = np.asarray(self._solver.getSolution().col_value, dtype=float)
-        return x, reused
-
-
-class _FamilyMember:
-    __slots__ = ("a_eq", "engine")
-
-    def __init__(self, a_eq) -> None:
-        self.a_eq = a_eq
-        self.engine = None
-
-
-class _Family:
-    __slots__ = ("structure", "members")
-
-    def __init__(self, structure: _LPStructure) -> None:
-        self.structure = structure
-        self.members: OrderedDict = OrderedDict()
-
-
-class WarmStartLPSolver:
-    """Exact concurrent-flow solver that amortizes work across LP families.
-
-    A *family* is the set of LPs sharing one structural fingerprint —
-    node set, edge endpoints, commodity count.  Degraded fabrics are the
-    pristine LP with perturbed capacities (same family, same member);
-    adjacent workload phases move the demand rows (same family, new
-    member).  The solver caches the capacity-independent assembly per
-    family and the demand matrix per member, so re-solves only rebuild
-    the right-hand side.
-
-    With the optional ``highspy`` binding installed, each member also
-    keeps a resident HiGHS model and re-solves capacity perturbations
-    from the previous optimal basis.  Any ``highspy`` failure disables
-    that path permanently (with one warning) and falls back to scipy's
-    ``linprog`` — results are identical either way, because the scipy
-    path solves the exact same matrices as :func:`max_concurrent_flow`.
-
-    Thread-safe; share one instance across planner threads.
-    """
-
-    def __init__(
-        self,
-        use_highs: bool | None = None,
-        max_families: int = 32,
-        max_members: int = 64,
-    ) -> None:
-        """``use_highs=None`` auto-detects; ``True`` requires highspy."""
-        self._lock = threading.RLock()
-        self._highspy = _try_import_highspy() if use_highs in (None, True) else None
-        if use_highs is True and self._highspy is None:
-            raise FlowError(
-                "use_highs=True but the optional highspy package is not "
-                "importable; install with `pip install repro[warmstart]`"
-            )
-        self._max_families = max_families
-        self._max_members = max_members
-        self._families: OrderedDict = OrderedDict()
-        self._cold_solves = 0
-        self._warm_solves = 0
-        self._basis_reuses = 0
-
-    @property
-    def highs_enabled(self) -> bool:
-        """Whether the basis-reuse path is active (highspy importable)."""
-        return self._highspy is not None
-
-    def _disable_highs(self, exc: Exception) -> None:
-        warnings.warn(
-            f"highspy warm-start path disabled after error: {exc!r}; "
-            "falling back to scipy linprog (results are unaffected)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        self._highspy = None
-        for family in self._families.values():
-            for member in family.members.values():
-                member.engine = None
-
-    def solve(
-        self,
-        topology: Topology,
-        commodities: Sequence[Commodity],
-        reference_rate: float,
-        return_flows: bool = False,
-    ) -> ConcurrentFlowResult:
-        """Drop-in for :func:`max_concurrent_flow` with family caching."""
-        if reference_rate <= 0:
-            raise FlowError(
-                f"reference_rate must be positive, got {reference_rate}"
-            )
-        commodities = [c for c in commodities if c.src != c.dst]
-        if not commodities:
-            return ConcurrentFlowResult(
-                theta=float("inf"), edge_flows=() if return_flows else None
-            )
-        for commodity in commodities:
-            if not topology.has_path(commodity.src, commodity.dst):
-                return ConcurrentFlowResult(theta=0.0, edge_flows=None)
-
-        family_key = (
-            tuple(topology.nodes),
-            tuple((u, v) for u, v, _ in topology.edges()),
-            len(commodities),
-        )
-        member_key = tuple((c.src, c.dst, c.demand) for c in commodities)
-
-        with self._lock:
-            family = self._families.get(family_key)
-            if family is None:
-                family = _Family(_LPStructure(topology, len(commodities)))
-                self._families[family_key] = family
-                while len(self._families) > self._max_families:
-                    self._families.popitem(last=False)
-            else:
-                self._families.move_to_end(family_key)
-            structure = family.structure
-
-            member = family.members.get(member_key)
-            first_solve = member is None
-            if first_solve:
-                member = _FamilyMember(structure.member_a_eq(commodities))
-                family.members[member_key] = member
-                while len(family.members) > self._max_members:
-                    family.members.popitem(last=False)
-            else:
-                family.members.move_to_end(member_key)
-
-            capacities = structure.capacities(topology, reference_rate)
-            x = None
-            basis_reused = False
-            if self._highspy is not None:
-                try:
-                    if member.engine is None:
-                        member.engine = _HighsEngine(
-                            self._highspy, structure, member.a_eq
-                        )
-                    x, basis_reused = member.engine.solve(capacities)
-                except Exception as exc:  # permanent, warned fallback
-                    self._disable_highs(exc)
-                    x = None
-            if x is None:
-                x = _solve_scipy(structure, member.a_eq, capacities, topology.name)
-
-            if first_solve:
-                self._cold_solves += 1
-            else:
-                self._warm_solves += 1
-                if basis_reused:
-                    self._basis_reuses += 1
-
-            theta = float(x[0])
-            edge_flows = _extract_flows(structure, x) if return_flows else None
-            return ConcurrentFlowResult(theta=theta, edge_flows=edge_flows)
-
-    def solve_matching(
-        self, topology: Topology, matching: Matching, reference_rate: float
-    ) -> float:
-        """Theta for one permutation step (unit-demand commodities)."""
-        return self.solve(
-            topology, commodities_from_matching(matching), reference_rate
-        ).theta
-
-    def stats(self) -> WarmStartStats:
-        with self._lock:
-            return WarmStartStats(
-                families=len(self._families),
-                members=sum(len(f.members) for f in self._families.values()),
-                cold_solves=self._cold_solves,
-                warm_solves=self._warm_solves,
-                basis_reuses=self._basis_reuses,
-            )
-
-    def clear(self) -> None:
-        """Drop every cached family, member, and resident model."""
-        with self._lock:
-            self._families.clear()
-            self._cold_solves = 0
-            self._warm_solves = 0
-            self._basis_reuses = 0
-
-
-_default_warm_solver: WarmStartLPSolver | None = None
-_default_warm_solver_lock = threading.Lock()
-
-
-def default_warm_solver() -> WarmStartLPSolver:
-    """Process-wide shared :class:`WarmStartLPSolver` (lazily created)."""
-    global _default_warm_solver
-    with _default_warm_solver_lock:
-        if _default_warm_solver is None:
-            _default_warm_solver = WarmStartLPSolver()
-        return _default_warm_solver

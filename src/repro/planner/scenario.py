@@ -9,7 +9,7 @@ Scenarios round-trip through plain dicts (:meth:`Scenario.to_dict` /
 all drive the planner without touching library objects.
 
 Scenarios are hashable: equal specs compare equal, which lets
-:func:`repro.planner.plan_many` and the topology memo deduplicate work
+:func:`repro.engine.plan_many` and the topology memo deduplicate work
 across a grid sweep.
 """
 
@@ -34,7 +34,12 @@ from ..core.multiport import (
 )
 from ..exceptions import ConfigurationError
 from ..fabric.degradation import FabricHealth
-from ..flows import PathLengthRule, ThroughputCache, default_cache
+from ..flows import (
+    THETA_METHODS,
+    PathLengthRule,
+    ThroughputCache,
+    default_cache,
+)
 from ..topology import (
     Topology,
     coprime_rings,
@@ -71,8 +76,6 @@ def canonical_digest(tag: str, payload: object) -> str:
     return hashlib.sha256(f"{tag}:{body}".encode("utf-8")).hexdigest()
 
 Options = tuple[tuple[str, object], ...]
-
-_THETA_METHODS = ("auto", "lp", "lp-warm", "closed", "sp", "proxy", "block")
 
 
 def _freeze_options(options: object) -> Options:
@@ -379,10 +382,10 @@ class Scenario:
     health: FabricHealth | None = None
 
     def __post_init__(self) -> None:
-        if self.theta_method not in _THETA_METHODS:
+        if self.theta_method not in THETA_METHODS:
             raise ConfigurationError(
                 f"unknown theta method {self.theta_method!r}; choose from "
-                f"{_THETA_METHODS}"
+                f"{THETA_METHODS}"
             )
         if not math.isclose(
             self.topology.bandwidth, self.cost.bandwidth, rel_tol=1e-9
@@ -741,7 +744,7 @@ def scenario_grid(
     """The row-major (message size x alpha_r) sweep of ``base``.
 
     This is the grid behind every Figure 1 / Figure 2 heatmap; feed the
-    result to :func:`repro.planner.plan_many`.
+    result to :func:`repro.engine.plan_many`.
     """
     message_sizes = tuple(float(m) for m in message_sizes)
     alpha_rs = tuple(float(a) for a in alpha_rs)

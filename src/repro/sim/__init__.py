@@ -2,15 +2,17 @@
 
 Two layers:
 
-* the simulator proper (:class:`FlowLevelSimulator`, :func:`simulate`)
-  operating on library objects (collectives, topologies, schedules);
-* the planner-facing executor (:func:`simulate_plan`, :func:`sim_many`,
-  :class:`SimResult`) that lowers declarative
+* the simulator proper (:class:`FlowLevelSimulator`) operating on
+  library objects (collectives, topologies, schedules);
+* the planner-facing executors (:func:`simulate_plan`,
+  :func:`simulate_workload`, :class:`SimResult`) that lower declarative
   :class:`~repro.planner.Scenario` / :class:`~repro.planner.PlanResult`
   items onto the simulator — plan it, then replay it.
+
+The batch front doors (:func:`repro.engine.sim_many`,
+:func:`repro.engine.workload_many`) live in :mod:`repro.engine`.
 """
 
-from .batch import sim_many
 from .events import EventQueue
 from .executor import SimResult, SimStep, simulate_plan
 from .flowsim import FlowLevelSimulator, SimulationResult, StepTiming
@@ -20,13 +22,11 @@ from .observation import (
     observations_to_rows,
 )
 from .rates import RATE_METHODS, FlowRate, allocate_rates
-from .runner import SimulationReport, simulate
 from .trace import EventKind, Trace, TraceEvent
 from .workload import (
     PhaseSimResult,
     WorkloadSimResult,
     simulate_workload,
-    workload_many,
 )
 
 __all__ = [
@@ -40,16 +40,12 @@ __all__ = [
     "RateObservation",
     "observations_to_rows",
     "observations_from_rows",
-    "SimulationReport",
-    "simulate",
     "SimResult",
     "SimStep",
     "simulate_plan",
-    "sim_many",
     "PhaseSimResult",
     "WorkloadSimResult",
     "simulate_workload",
-    "workload_many",
     "EventKind",
     "Trace",
     "TraceEvent",

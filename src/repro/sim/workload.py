@@ -13,23 +13,19 @@ plan's physically accounted per-phase totals, and the executor asserts
 that anchor — the workload-level analogue of ``simulate_plan``'s
 model check.
 
-:func:`workload_many` batches whole workload sweeps, mirroring
-:func:`~repro.planner.plan_many` / :func:`~repro.sim.sim_many`:
-one shared thread-safe theta cache, results in input order, parallel
-bit-identical to serial.  It is a shim over the unified evaluation
-engine (:func:`repro.engine.workload_many`), which adds the process
-execution backend and the persistent disk cache tier.
+:func:`repro.engine.workload_many` batches whole workload sweeps over
+this executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from .._validation import require_field as _require
 from ..exceptions import SimulationError
 from ..fabric.reconfiguration import ReconfigurationModel
-from ..flows import ThroughputCache, default_cache
+from ..flows import MODEL_ANCHOR_METHODS, ThroughputCache, default_cache
 from ..workload.policies import plan_workload
 from ..workload.result import WorkloadPlan
 from ..workload.spec import Workload
@@ -43,7 +39,7 @@ from .observation import (
 from .rates import RATE_METHODS
 from .trace import EventKind, Trace
 
-__all__ = ["PhaseSimResult", "WorkloadSimResult", "simulate_workload", "workload_many"]
+__all__ = ["PhaseSimResult", "WorkloadSimResult", "simulate_workload"]
 
 
 @dataclass(frozen=True)
@@ -209,11 +205,8 @@ class WorkloadSimResult:
 def _should_check_phase(scenario, rate_method: str) -> bool:
     """Whether a phase's measured time must equal the physical analytic
     total (the same idealized-settings rule as ``simulate_plan``)."""
-    return rate_method == "mcf" and scenario.theta_method in (
-        "auto",
-        "lp",
-        "lp-warm",
-        "closed",
+    return (
+        rate_method == "mcf" and scenario.theta_method in MODEL_ANCHOR_METHODS
     )
 
 
@@ -408,47 +401,4 @@ def simulate_workload(
         n_reconfigurations=n_reconf,
         phases=tuple(phases),
         trace=trace,
-    )
-
-
-def workload_many(
-    items: Iterable[Workload | WorkloadPlan],
-    policy: str = "replan",
-    solver: str = "dp",
-    parallel: "int | None" = None,
-    cache: "ThroughputCache | None" = default_cache,
-    rate_method: str = "mcf",
-    reconfiguration_model: ReconfigurationModel | None = None,
-    collect_utilization: bool = False,
-    check_model: bool = True,
-    parallel_backend: "str | None" = None,
-    observe_rates: bool = False,
-    **options,
-) -> list[WorkloadSimResult]:
-    """Plan and execute a batch of workloads, optionally in parallel.
-
-    A shim over :func:`repro.engine.workload_many` — see that function
-    for the full parameter documentation.  The workload twin of
-    :func:`~repro.planner.plan_many` and :func:`~repro.sim.sim_many`:
-    bare :class:`~repro.workload.Workload` items are planned with
-    ``policy`` / ``solver`` / ``reconfiguration_model`` first, prepared
-    :class:`~repro.workload.WorkloadPlan` items are executed as-is, and
-    mixed batches are fine.  Results come back in input order and are
-    bit-identical across execution backends.
-    """
-    from ..engine.api import workload_many as _engine_workload_many
-
-    return _engine_workload_many(
-        items,
-        policy=policy,
-        solver=solver,
-        parallel=parallel,
-        cache=cache,
-        rate_method=rate_method,
-        reconfiguration_model=reconfiguration_model,
-        collect_utilization=collect_utilization,
-        check_model=check_model,
-        parallel_backend=parallel_backend,
-        observe_rates=observe_rates,
-        **options,
     )

@@ -6,8 +6,7 @@ scientific payload: same plans, same simulated times, same workload
 phase results, whether the batch runs inline, on a thread pool, or
 through the shared-memory process pool.  Scenario families here include
 the cases the batch-first rewrite touches hardest — closed-form grids
-(prewarmed), degraded fabrics (LP families), and the ``exact-lp-warm``
-routed backend.
+(prewarmed), degraded fabrics (LP cells), and backend-routed batches.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ def mixed_scenarios():
         base.replace(health=uniform_degradation(8, 0.75), name="dim"),
         base.replace(health=random_failures(8, seed=5), name="faulty"),
         base.replace(theta_method="lp", name="lp-routed"),
-        base.replace(theta_method="lp-warm", name="warm-routed"),
     ]
 
 
@@ -103,7 +101,7 @@ class TestPlanManyBackendsAgree:
         assert stripped(serial) == stripped(thread) == stripped(process)
         assert_thetas_close(serial, process)
 
-    @pytest.mark.parametrize("theta_backend", ["exact-lp", "exact-lp-warm"])
+    @pytest.mark.parametrize("theta_backend", ["exact-lp", "block-lp"])
     def test_routed_backends_match_across_execution(self, theta_backend):
         scenarios = [base_scenario(), base_scenario().replace(message_size=MiB(4))]
         serial = plan_many(
@@ -117,24 +115,6 @@ class TestPlanManyBackendsAgree:
             cache=ThroughputCache(),
         )
         assert stripped(serial) == stripped(thread)
-
-    def test_warm_routing_equals_cold_routing(self):
-        scenarios = [
-            base_scenario(),
-            base_scenario().replace(health=uniform_degradation(8, 0.6)),
-        ]
-        cold = plan_many(
-            scenarios, theta_backend="exact-lp", cache=ThroughputCache()
-        )
-        warm = plan_many(
-            scenarios, theta_backend="exact-lp-warm", cache=ThroughputCache()
-        )
-        for a, b in zip(cold, warm):
-            da, db = a.to_dict(), b.to_dict()
-            for key in ("cache_stats", "scenario"):
-                da.pop(key, None)
-                db.pop(key, None)
-            assert da == db
 
 
 class TestSimAndWorkloadBackendsAgree:

@@ -1,9 +1,8 @@
-"""Satellites: shim deprecations, version single-sourcing, on_result.
+"""Satellites: batch front doors, version single-sourcing, on_result.
 
-* the legacy ``repro.planner.plan_many`` / ``repro.sim.sim_many``
-  import paths still work but emit :class:`DeprecationWarning` at call
-  time; the canonical ``repro.engine`` (and top-level ``repro``) paths
-  stay warning-free;
+* the batch entry points live in ``repro.engine`` (and top-level
+  ``repro``) only, and calling them is warning-free; the removed
+  ``repro.planner`` / ``repro.sim`` shims stay removed;
 * ``repro.__version__`` is single-sourced from ``pyproject.toml`` and
   surfaces in every service response;
 * the engine's ``on_result`` hook delivers batch results incrementally,
@@ -43,29 +42,6 @@ def small_grid():
 
 
 class TestShimDeprecations:
-    def test_planner_plan_many_warns(self):
-        from repro.planner import plan_many as shim
-
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            results = shim([base_scenario()], cache=ThroughputCache())
-        assert len(results) == 1
-
-    def test_sim_sim_many_warns(self):
-        from repro.sim import sim_many as shim
-
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            results = shim([base_scenario(n=4)], cache=ThroughputCache())
-        assert len(results) == 1
-
-    def test_import_alone_does_not_warn(self):
-        # Only *calling* the shim warns; importing it (e.g. via
-        # ``import repro``) must stay silent so downstream code sees
-        # the warning exactly where the deprecated call happens.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.planner import plan_many  # noqa: F401
-            from repro.sim import sim_many, workload_many  # noqa: F401
-
     def test_canonical_paths_are_warning_free(self):
         cache = ThroughputCache()
         with warnings.catch_warnings():
@@ -79,6 +55,16 @@ class TestShimDeprecations:
             repro.workload_many(
                 [steady_trace(base_scenario(n=4), phases=2)], cache=cache
             )
+
+    def test_removed_shims_stay_removed(self):
+        for module, name in (
+            (repro.planner, "plan_many"),
+            (repro.sim, "sim_many"),
+            (repro.sim, "workload_many"),
+            (repro.sim, "simulate"),
+            (repro, "simulate"),
+        ):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 class TestVersionSingleSourcing:

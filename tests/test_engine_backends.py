@@ -237,7 +237,7 @@ class TestThetaBackendRouting:
             plan_many([base], theta_backend="bounds", cache=None)
 
 
-EXACT_BACKENDS = ("closed-form", "exact-lp", "exact-lp-warm")
+EXACT_BACKENDS = ("closed-form", "exact-lp")
 
 
 class TestBackendEdgeCases:

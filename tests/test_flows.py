@@ -307,8 +307,9 @@ class TestComputeTheta:
             compute_theta(t, Matching.shift(4, 1), cache=None)
 
     def test_unknown_method(self):
-        with pytest.raises(FlowError, match="unknown theta method"):
-            compute_theta(ring(4, B), Matching.shift(4, 1), method="magic")
+        for method in ("magic", "lp-warm"):  # lp-warm: a removed method
+            with pytest.raises(FlowError, match="unknown theta method"):
+                compute_theta(ring(4, B), Matching.shift(4, 1), method=method)
 
     def test_closed_method_raises_without_form(self):
         with pytest.raises(FlowError, match="no closed form"):

@@ -10,8 +10,6 @@ random topologies, commodity sets, and demands:
   capacities alone scales theta linearly;
 * **monotonicity** — adding capacity can never decrease theta, and
   adding a commodity can never increase it.
-
-These hold for both the cold path and the warm-started family solver.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.flows import (
     Commodity,
-    WarmStartLPSolver,
     commodities_from_matching,
     max_concurrent_flow,
 )
@@ -141,21 +138,6 @@ def test_adding_a_commodity_never_increases_theta(instance):
         assert math.isinf(before)
     else:
         assert after <= before + 1e-9 or math.isinf(before)
-
-
-@settings(max_examples=20, deadline=None)
-@given(instance=lp_instances(), factor=st.sampled_from([0.5, 2.0]))
-def test_warm_solver_inherits_the_invariants(instance, factor):
-    """The warm path satisfies the same scale law as the cold path —
-    on the same instance, not merely in distribution."""
-    topology, commodities = instance
-    solver = WarmStartLPSolver()
-    base = solver.solve(topology, commodities, RATE).theta
-    alone = solver.solve(topology.scaled(factor), commodities, RATE).theta
-    if math.isinf(base):
-        assert math.isinf(alone)
-    else:
-        assert math.isclose(alone, base * factor, rel_tol=1e-7, abs_tol=1e-9)
 
 
 def test_shift_on_ring_matches_known_closed_form():

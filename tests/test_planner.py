@@ -124,6 +124,10 @@ class TestScenario:
             CollectiveSpec(algorithm="no_such_collective")
         with pytest.raises(ConfigurationError, match="theta method"):
             paper_scenario().replace(theta_method="oracle")
+        stored = paper_scenario().to_dict()
+        stored["theta_method"] = "lp-warm"  # a method that no longer exists
+        with pytest.raises(ConfigurationError, match="theta method"):
+            Scenario.from_dict(stored)
         with pytest.raises(ConfigurationError, match="alltoall"):
             paper_scenario("allreduce_swing").replace(multiport_radix=2)
         with pytest.raises(ConfigurationError, match="dims"):

@@ -192,13 +192,6 @@ class TestBlockTheta:
         assert stats.pod_solves <= 2
         assert stats.memo_hits + stats.pods_screened >= 2
 
-    def test_parallel_path_matches_serial(self):
-        topology = fabric((4, 6, 8)).flat_topology()
-        matching = Matching.shift(18, 5)
-        serial = pod_theta(topology, matching, RATE)
-        threaded = pod_theta(topology, matching, RATE, parallel=3)
-        assert threaded == pytest.approx(serial, rel=1e-9)
-
     def test_compute_theta_block_method_and_cache(self):
         from repro.flows import ThroughputCache
 

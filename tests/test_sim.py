@@ -21,7 +21,6 @@ from repro.sim import (
     EventQueue,
     FlowLevelSimulator,
     allocate_rates,
-    simulate,
 )
 from repro.topology import ring, star
 from repro.units import Gbps, MiB, ns, us
@@ -139,10 +138,14 @@ class TestSimulatorEqualsModel:
 
     def test_runner_checks_model(self):
         collective = make_collective("allreduce_swing", 8, MiB(2))
-        report = simulate(collective, ring(8, B), make_params())
-        assert report.model_error < 1e-12
-        assert report.speedup_vs_static >= 1.0 - 1e-12
-        assert report.speedup_vs_bvn >= 1.0 - 1e-12
+        topology, params = ring(8, B), make_params()
+        optimal = optimize_schedule(
+            evaluate_step_costs(collective, topology, params), params
+        )
+        result = FlowLevelSimulator(topology, params).run(
+            collective, optimal.schedule
+        )
+        assert result.total_time == pytest.approx(optimal.cost.total, rel=1e-12)
 
 
 class TestSimulatorBehaviour:
@@ -253,8 +256,11 @@ class TestSimulatorBehaviour:
         from repro.collectives import barrier_dissemination
 
         barrier = barrier_dissemination(8)
-        params = make_params(us(1))
-        report = simulate(barrier, ring(8, B), params)
+        topology, params = ring(8, B), make_params(us(1))
+        schedule = optimize_schedule(
+            evaluate_step_costs(barrier, topology, params), params
+        ).schedule
+        result = FlowLevelSimulator(topology, params).run(barrier, schedule)
         # barrier time = steps * alpha + propagation only
-        assert report.simulation.total_time > 0
-        assert math.isfinite(report.simulation.total_time)
+        assert result.total_time > 0
+        assert math.isfinite(result.total_time)
