@@ -5,7 +5,7 @@ rewrite against its reference implementation, pairwise, over *generated
 scenario families* rather than hand-picked cases:
 
 * scalar closed forms  vs  the vectorized batch kernels,
-* cold ``max_concurrent_flow``  vs  the warm-started family solver,
+* cold ``max_concurrent_flow``  vs  the memoized pod subproblem path,
 * serial  vs  thread  vs  process execution backends.
 
 Families deliberately mix rows the fast path accelerates with rows it
@@ -104,10 +104,9 @@ def lp_only_families(n: int = 8) -> list[tuple[object, list[Matching]]]:
 def degraded_variants(topology, n: int):
     """The pristine fabric plus degraded conditions of the same graph.
 
-    Uniform dimming and hotspots keep every lane (same LP structure —
-    the warm solver's capacity-perturbation case); random failures
-    remove lanes (different structure — a new family, which the solver
-    must also get right).
+    Uniform dimming and hotspots keep every lane (same LP structure,
+    new capacities); random failures remove lanes (a different
+    structure, which every path must also get right).
     """
     healths = [
         None,

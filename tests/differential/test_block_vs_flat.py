@@ -26,6 +26,7 @@ from repro.flows import (
     max_concurrent_flow,
     pod_theta,
 )
+from repro.flows.block import _clear_block_memos
 from repro.matching import Matching
 from repro.topology import PodFabric
 
@@ -187,3 +188,19 @@ def test_block_equals_flat_on_random_fabrics(data):
     if len(matching) == 0:
         return
     assert_block_equals_flat(topology, matching)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_memoized_block_equals_cold_block_on_random_fabrics(data):
+    """A second pricing served from the pod subproblem memo is
+    bit-identical to a cold one on a cleared memo."""
+    fabric = data.draw(pod_fabrics())
+    topology = fabric.flat_topology()
+    matching = data.draw(fabric_matchings(fabric.n))
+    if len(matching) == 0:
+        return
+    _clear_block_memos()
+    cold = pod_theta(topology, matching, RATE)
+    assert pod_theta(topology, matching, RATE) == cold
+    assert agree(cold, flat_theta(topology, matching), TOL)

@@ -116,6 +116,34 @@ class TestPlanManyBackendsAgree:
         )
         assert stripped(serial) == stripped(thread)
 
+    def test_block_routing_equals_flat_routing(self):
+        pods = Scenario.create(
+            "allreduce_ring",
+            n=12,
+            message_size=MiB(1),
+            alpha=ns(100),
+            delta=ns(100),
+            reconfiguration_delay=us(10),
+            topology="podfabric",
+            topology_options={"pods": 3, "uplinks_per_pod": 2},
+        )
+        scenarios = [
+            pods,
+            pods.replace(health=uniform_degradation(12, 0.6), name="dim-pods"),
+        ]
+        flat = plan_many(
+            scenarios, theta_backend="exact-lp", cache=ThroughputCache()
+        )
+        block = plan_many(
+            scenarios, theta_backend="block-lp", cache=ThroughputCache()
+        )
+        for a, b in zip(flat, block):
+            assert a.schedule == b.schedule
+            assert math.isclose(
+                a.total_time, b.total_time, rel_tol=TOL, abs_tol=0.0
+            )
+        assert_thetas_close(flat, block)
+
 
 class TestSimAndWorkloadBackendsAgree:
     def test_sim_many_with_degraded_cells(self):

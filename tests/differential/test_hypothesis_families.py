@@ -3,8 +3,9 @@
 Hypothesis generates the scenario families the hand-written cases can't
 anticipate — random partial matchings, random permutations, random
 port-dimming and lane-failure states — and the differential contracts
-must hold on every draw: batch kernels equal scalar closed forms, and
-degraded fabrics agree between the batch and scalar paths at 1e-9.
+must hold on every draw: batch kernels equal scalar closed forms, the
+cached LP method equals the cold LP, and degraded fabrics agree between
+the batch and scalar paths at 1e-9.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from hypothesis import given, settings, strategies as st
 from families import RATE, agree
 from repro.fabric import FabricHealth
 from repro.flows import (
+    ThroughputCache,
+    commodities_from_matching,
     compute_theta,
+    max_concurrent_flow,
     theta_batch,
 )
 from repro.flows.closed_forms import (
@@ -117,6 +121,28 @@ def test_theta_batch_equals_compute_theta_on_random_rows(data, n):
     values = theta_batch(topology, rows, RATE, cache=None)
     for matching, value in zip(rows, values):
         assert agree(value, compute_theta(topology, matching, RATE, cache=None))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.sampled_from(SIZES))
+def test_lp_method_equals_cold_lp_on_random_states(data, n):
+    """The hardest mix: random health applied to a ring, random
+    matching — the cached ``method="lp"`` path and the cold LP must
+    agree on every draw."""
+    topology = ring(n, RATE)
+    health = data.draw(health_states(n))
+    degraded = health.apply(topology)
+    matching = data.draw(matchings(n))
+    cache = ThroughputCache()
+    cold = max_concurrent_flow(
+        degraded, commodities_from_matching(matching), RATE
+    ).theta
+    value = compute_theta(degraded, matching, RATE, method="lp", cache=cache)
+    assert agree(cold, value)
+    # A second lookup of the same state is a cache hit and identical.
+    again = compute_theta(degraded, matching, RATE, method="lp", cache=cache)
+    assert again == value
+    assert cache.stats().hits == 1
 
 
 @settings(max_examples=20, deadline=None)

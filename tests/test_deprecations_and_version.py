@@ -11,7 +11,11 @@
 
 from __future__ import annotations
 
+import importlib
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -23,6 +27,9 @@ from repro.flows import ThroughputCache
 from repro.planner import Scenario, scenario_grid
 from repro.units import Gbps, KiB, MiB, ns, us
 from repro.workload import steady_trace
+
+#: The directory ``repro`` is imported from, for fresh interpreters.
+SRC = Path(repro.__file__).resolve().parents[1]
 
 
 def base_scenario(n=8):
@@ -65,6 +72,27 @@ class TestShimDeprecations:
             (repro, "simulate"),
         ):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+    def test_import_alone_does_not_warn(self):
+        # A fresh interpreter, so every package module really executes
+        # its import-time code under warnings-as-errors.
+        code = (
+            "import repro, repro.engine, repro.planner, repro.sim, "
+            "repro.workload, repro.flows"
+        )
+        subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+
+    @pytest.mark.parametrize(
+        "module", ["repro.planner.batch", "repro.sim.batch", "repro.sim.runner"]
+    )
+    def test_removed_shim_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
 
 class TestVersionSingleSourcing:

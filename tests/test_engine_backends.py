@@ -237,7 +237,7 @@ class TestThetaBackendRouting:
             plan_many([base], theta_backend="bounds", cache=None)
 
 
-EXACT_BACKENDS = ("closed-form", "exact-lp")
+EXACT_BACKENDS = ("closed-form", "exact-lp", "block-lp")
 
 
 class TestBackendEdgeCases:

@@ -10,6 +10,9 @@ random topologies, commodity sets, and demands:
   capacities alone scales theta linearly;
 * **monotonicity** — adding capacity can never decrease theta, and
   adding a commodity can never increase it.
+
+The scale law also holds on the memoized subproblem path that prices
+pods in the block decomposition.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.flows import (
     commodities_from_matching,
     max_concurrent_flow,
 )
+from repro.flows.block import _solve_subproblem
 from repro.matching import Matching
 from repro.topology import coprime_rings, full_mesh, ring
 from repro.units import Gbps
@@ -138,6 +142,22 @@ def test_adding_a_commodity_never_increases_theta(instance):
         assert math.isinf(before)
     else:
         assert after <= before + 1e-9 or math.isinf(before)
+
+
+@settings(max_examples=20, deadline=None)
+@given(instance=lp_instances(), factor=st.sampled_from([0.5, 2.0]))
+def test_pod_subproblem_path_inherits_the_scale_law(instance, factor):
+    """The memoized subproblem solve the block decomposition prices
+    pods with satisfies the same scale law as the cold path — on the
+    same instance, not merely in distribution."""
+    topology, commodities = instance
+    base = _solve_subproblem(topology, commodities, RATE)
+    assert base == max_concurrent_flow(topology, commodities, RATE).theta
+    alone = _solve_subproblem(topology.scaled(factor), commodities, RATE)
+    if math.isinf(base):
+        assert math.isinf(alone)
+    else:
+        assert math.isclose(alone, base * factor, rel_tol=1e-7, abs_tol=1e-9)
 
 
 def test_shift_on_ring_matches_known_closed_form():

@@ -10,6 +10,7 @@ n=128 golden fixture.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
@@ -191,6 +192,18 @@ class TestBlockTheta:
         # or screened.
         assert stats.pod_solves <= 2
         assert stats.memo_hits + stats.pods_screened >= 2
+
+    def test_pod_theta_has_no_parallel_option(self):
+        # Pods are priced serially in ascending-lower-bound order; there
+        # is no thread-pool switch to set.
+        assert list(inspect.signature(pod_theta).parameters) == [
+            "topology",
+            "matching",
+            "reference_rate",
+        ]
+        topology = fabric((4, 6, 8)).flat_topology()
+        with pytest.raises(TypeError):
+            pod_theta(topology, Matching.shift(18, 5), RATE, parallel=3)
 
     def test_compute_theta_block_method_and_cache(self):
         from repro.flows import ThroughputCache
